@@ -142,15 +142,18 @@ impl Executor {
         let b = batch.len();
         let t = batch.seq_len();
         let d = model.config.hidden;
-        model
-            .embeddings
-            .forward_into(&batch.ids, &batch.segments, &mut self.x);
-        let mask = fill_mask(batch, &mut self.mask).then_some(&self.mask[..b * t]);
-        let rel: Option<Arc<Vec<f32>>> = model.relative.as_ref().map(|r| r.bias_flat_cached(t));
-        let rel = rel.as_ref().map(|r| r.as_slice());
         match self.backend {
-            ExecBackend::Eager => model.encode_flat(&mut self.x[..b * t * d], mask, rel, b, t),
+            ExecBackend::Eager => {
+                model.forward_into(batch, &mut self.x);
+            }
             ExecBackend::Graph => {
+                model
+                    .embeddings
+                    .forward_into(&batch.ids, &batch.segments, &mut self.x);
+                let mask = fill_mask(batch, &mut self.mask).then_some(&self.mask[..b * t]);
+                let rel: Option<Arc<Vec<f32>>> =
+                    model.relative.as_ref().map(|r| r.bias_flat_cached(t));
+                let rel = rel.as_ref().map(|r| r.as_slice());
                 let key = plan_key(model, b.max(self.batch_cap), t);
                 self.graph
                     .run(key, model, b, &mut self.x[..b * t * d], mask, rel);

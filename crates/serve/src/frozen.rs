@@ -21,11 +21,12 @@ use em_checkpoint::TensorBuf;
 use em_core::EmMatcher;
 use em_data::{Dataset, EntityPair};
 use em_kernels::{
-    dequantize_rows_i8, f16_dequantize, f16_quantize, gelu, gemm_nn, gemm_nn_act, gemm_nn_f16_act,
-    gemm_nt_i8_dyn_act, layer_norm_rows, quantize_weights_i8, softmax_rows, Act,
+    attn_softmax_rows, dequantize_rows_i8, f16_dequantize, f16_quantize, gemm_nn, gemm_nn_act,
+    gemm_nn_f16_act, gemm_nt_i8_dyn_act, layer_norm_rows, quantize_weights_i8,
+    residual_layer_norm_rows, softmax_rows, Act,
 };
 use em_nn::Linear;
-use em_tensor::{softmax_array, Array};
+use em_tensor::Array;
 use em_tokenizers::{encode_pair, AnyTokenizer, ClsPosition, Encoding};
 use em_transformers::{
     Architecture, Batch, ClassificationHead, TransformerConfig, TransformerModel,
@@ -279,6 +280,11 @@ impl FrozenNorm {
     fn forward_flat(&self, x: &mut [f32]) {
         layer_norm_rows(x, &self.gamma, &self.beta, self.eps);
     }
+
+    /// `x = norm(x + add)`, row by row in one pass.
+    fn residual_forward_flat(&self, x: &mut [f32], add: &[f32]) {
+        residual_layer_norm_rows(x, add, &self.gamma, &self.beta, self.eps);
+    }
 }
 
 /// Inference-only input embedding block (token + position + segment + norm).
@@ -294,18 +300,10 @@ pub(crate) struct FrozenEmbeddings {
 
 impl FrozenEmbeddings {
     /// Mirror of `InputEmbeddings::forward` in eval mode (no dropout, no
-    /// blanking — blanking is a pre-training-only concern). Returns the
+    /// blanking — blanking is a pre-training-only concern), into the
     /// flat `[b*t, d]` hidden-state buffer the encoder stack works in.
-    fn forward_flat(&self, ids: &[Vec<usize>], segments: &[Vec<usize>]) -> Vec<f32> {
-        let mut x = Vec::new();
-        self.forward_into(ids, segments, &mut x);
-        x
-    }
-
-    /// [`FrozenEmbeddings::forward_flat`] into a caller-owned buffer,
-    /// resized (never shrunk below use, no zeroing needed — the token
-    /// gather overwrites every element) so a reused workspace makes the
-    /// embedding stage allocation-free at steady state.
+    /// The buffer is resized, not zeroed (the token gather overwrites
+    /// every element), so a reused buffer makes this allocation-free.
     pub(crate) fn forward_into(
         &self,
         ids: &[Vec<usize>],
@@ -359,67 +357,41 @@ impl FrozenEmbeddings {
     }
 }
 
-/// Reusable per-forward working buffers, sized once and shared by every
-/// encoder layer of one batch forward.
-struct Scratch {
-    qkv: Vec<f32>,    // [b*t, 3d]
-    q: Vec<f32>,      // [b*h, t, dh]
-    kt: Vec<f32>,     // [b*h, dh, t] — K stored pre-transposed
-    v: Vec<f32>,      // [b*h, t, dh]
-    scores: Vec<f32>, // [b*h, t, t]
-    merged: Vec<f32>, // [b*t, d] — heads merged back
-    attn: Vec<f32>,   // [b*t, d]
-    ffn1: Vec<f32>,   // [b*t, inner]
-    ffn2: Vec<f32>,   // [b*t, d]
+/// Elements of layer workspace one forward of `b` sequences of length
+/// `t` needs: the largest of the attention stage's six `[b*t, d]` slots,
+/// the split heads plus the score tensor, and the two FFN outputs. See
+/// [`FrozenLayer::forward_flat`] for how the stages share it.
+fn layer_workspace_len(b: usize, t: usize, d: usize, heads: usize, inner: usize) -> usize {
+    let rd = b * t * d;
+    (6 * rd)
+        .max(3 * rd + b * heads * t * t)
+        .max(b * t * (inner + d))
 }
 
-impl Scratch {
-    const fn empty() -> Self {
-        Self {
-            qkv: Vec::new(),
-            q: Vec::new(),
-            kt: Vec::new(),
-            v: Vec::new(),
-            scores: Vec::new(),
-            merged: Vec::new(),
-            attn: Vec::new(),
-            ffn1: Vec::new(),
-            ffn2: Vec::new(),
-        }
-    }
-
-    /// Grow every buffer to the given geometry (never shrinking, so a
-    /// worker's scratch converges on its largest batch and stops
-    /// allocating). No zeroing: every buffer is fully overwritten before
-    /// it is read — GEMMs initialize their output tile, the head split
-    /// writes every element, and per-layer reuse overwrites in the same
-    /// pattern — and the layer loops index exact `[..len]` prefixes.
-    fn ensure(&mut self, b: usize, t: usize, d: usize, heads: usize, inner: usize) {
-        let rows = b * t;
-        let grow = |v: &mut Vec<f32>, n: usize| {
-            if v.len() < n {
-                v.resize(n, 0.0);
-            }
-        };
-        grow(&mut self.qkv, rows * 3 * d);
-        grow(&mut self.q, rows * d);
-        grow(&mut self.kt, rows * d);
-        grow(&mut self.v, rows * d);
-        grow(&mut self.scores, b * heads * t * t);
-        grow(&mut self.merged, rows * d);
-        grow(&mut self.attn, rows * d);
-        grow(&mut self.ffn1, rows * inner);
-        grow(&mut self.ffn2, rows * d);
-    }
+/// The per-thread buffers of the frozen forward. Every buffer only ever
+/// grows, so a thread converges on its largest batch and then stops
+/// allocating. Nothing is zeroed: every element a stage reads was
+/// written earlier in the same forward, and every kernel gets an exact
+/// prefix slice.
+#[derive(Default)]
+struct Workspace {
+    /// `[b*t]` additive key mask.
+    mask: Vec<f32>,
+    /// The layer intermediates, carved per stage.
+    layer: Vec<f32>,
+    /// `[b*t, d]` hidden states of the matcher path.
+    hidden: Vec<f32>,
+    /// `[b, d]` CLS states, then `[b, d]` pooled states.
+    cls: Vec<f32>,
+    pooled: Vec<f32>,
+    /// `[b, 2]` logits, then probabilities.
+    logits: Vec<f32>,
 }
 
 thread_local! {
-    /// One scratch per scoring thread, reused across every forward: the
-    /// eager path used to allocate nine buffers per call
-    /// (`Scratch::new` in `FrozenModel::forward`), which at steady
-    /// state — where a serving worker replays the same batch geometry
-    /// forever — was pure allocator churn.
-    static SCRATCH: std::cell::RefCell<Scratch> = const { std::cell::RefCell::new(Scratch::empty()) };
+    /// One workspace per scoring thread: a serving worker, a bench
+    /// thread or a direct caller each reuse their own, lock-free.
+    static WORKSPACE: std::cell::RefCell<Workspace> = std::cell::RefCell::new(Workspace::default());
 }
 
 /// Inference-only multi-head attention + FFN encoder layer with the Q/K/V
@@ -454,7 +426,20 @@ impl FrozenLayer {
     }
 
     /// Mirror of `EncoderLayer::forward` in eval mode, in place on the
-    /// flat `[b*t, d]` hidden states.
+    /// flat `[b*t, d]` hidden states, through the fused kernels: ten
+    /// kernel calls per layer.
+    ///
+    /// `ws` holds [`layer_workspace_len`] elements, shared by the stages
+    /// as their buffers die (`rd` = `b*t*d`):
+    ///
+    /// ```text
+    /// offset  0        rd       2rd      3rd               6rd
+    /// QKV     q        kt       v        qkv
+    /// scores  q        kt       v        scores [b*h, t, t]
+    /// context merged   tmp      v        scores
+    /// O       merged   attn
+    /// FFN     ffn1 [b*t, inner]  ffn2
+    /// ```
     fn forward_flat(
         &self,
         x: &mut [f32],
@@ -462,117 +447,85 @@ impl FrozenLayer {
         rel: Option<&[f32]>,
         b: usize,
         t: usize,
-        s: &mut Scratch,
+        ws: &mut [f32],
     ) {
         let d = self.norm1.gamma.len();
         let h = self.heads;
         let dh = d / h;
         let rows = b * t;
-
+        let rd = rows * d;
         let inner = self.fc1.out_features();
 
-        // Attention: fused QKV projection, then per-(sample, head) GEMMs.
-        // Only weight-times-activation products go through the quantized
-        // kernels; the activation-activation attention GEMMs stay f32.
-        // Scratch may be larger than this batch (it is thread-local and
-        // only ever grows), so every kernel gets an exact prefix slice.
-        self.qkv.forward_flat(x, &mut s.qkv[..rows * 3 * d], rows);
+        // Fused QKV projection, then the head split into q, kt (K stored
+        // pre-transposed) and v. Only weight-times-activation products go
+        // through the quantized kernels; the attention GEMMs stay f32.
+        let (heads, tail) = ws.split_at_mut(3 * rd);
+        self.qkv.forward_flat(x, &mut tail[..3 * rd], rows);
+        let qkv = &tail[..3 * rd];
+        let (q, rest) = heads.split_at_mut(rd);
+        let (kt, v) = rest.split_at_mut(rd);
         for bi in 0..b {
             for ti in 0..t {
-                let row = &s.qkv[(bi * t + ti) * 3 * d..(bi * t + ti + 1) * 3 * d];
+                let row = &qkv[(bi * t + ti) * 3 * d..(bi * t + ti + 1) * 3 * d];
                 for hi in 0..h {
                     let g = bi * h + hi;
                     for ci in 0..dh {
-                        s.q[(g * t + ti) * dh + ci] = row[hi * dh + ci];
-                        s.kt[(g * dh + ci) * t + ti] = row[d + hi * dh + ci];
-                        s.v[(g * t + ti) * dh + ci] = row[2 * d + hi * dh + ci];
+                        q[(g * t + ti) * dh + ci] = row[hi * dh + ci];
+                        kt[(g * dh + ci) * t + ti] = row[d + hi * dh + ci];
+                        v[(g * t + ti) * dh + ci] = row[2 * d + hi * dh + ci];
                     }
                 }
             }
         }
+        // Scores per (sample, head) over the dead qkv (and past it when
+        // the score tensor is the larger), then scale, relative bias,
+        // padding mask and softmax in one pass.
+        let scores = &mut tail[..b * h * t * t];
         for g in 0..b * h {
             gemm_nn(
-                &s.q[g * t * dh..(g + 1) * t * dh],
-                &s.kt[g * t * dh..(g + 1) * t * dh],
+                &q[g * t * dh..(g + 1) * t * dh],
+                &kt[g * t * dh..(g + 1) * t * dh],
                 None,
-                &mut s.scores[g * t * t..(g + 1) * t * t],
+                &mut scores[g * t * t..(g + 1) * t * t],
                 t,
                 dh,
                 t,
             );
         }
-        // Scale, relative bias (before the mask, as in autograd), padding
-        // mask, softmax. Mask-free batches skip the mask add per element.
-        let inv = 1.0 / (dh as f32).sqrt();
-        for bi in 0..b {
-            let mrow = mask.map(|m| &m[bi * t..(bi + 1) * t]);
-            for hi in 0..h {
-                let base = (bi * h + hi) * t * t;
-                for i in 0..t {
-                    let srow = &mut s.scores[base + i * t..base + (i + 1) * t];
-                    match (rel, mrow) {
-                        (Some(rel), Some(mrow)) => {
-                            let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
-                            for j in 0..t {
-                                srow[j] = srow[j] * inv + brow[j] + mrow[j];
-                            }
-                        }
-                        (Some(rel), None) => {
-                            let brow = &rel[(hi * t + i) * t..(hi * t + i + 1) * t];
-                            for j in 0..t {
-                                srow[j] = srow[j] * inv + brow[j];
-                            }
-                        }
-                        (None, Some(mrow)) => {
-                            for j in 0..t {
-                                srow[j] = srow[j] * inv + mrow[j];
-                            }
-                        }
-                        (None, None) => {
-                            for v in srow {
-                                *v *= inv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        softmax_rows(&mut s.scores[..b * h * t * t], t);
-        // Context per (sample, head), merged back to [b*t, d].
+        attn_softmax_rows(scores, 1.0 / (dh as f32).sqrt(), rel, mask, b, h, t);
+        // Context per (sample, head) into tmp, merged back to [b*t, d]
+        // over the dead q.
+        let merged = q;
         for bi in 0..b {
             for hi in 0..h {
                 let g = bi * h + hi;
+                let tmp = &mut kt[..t * dh];
                 gemm_nn(
-                    &s.scores[g * t * t..(g + 1) * t * t],
-                    &s.v[g * t * dh..(g + 1) * t * dh],
+                    &scores[g * t * t..(g + 1) * t * t],
+                    &v[g * t * dh..(g + 1) * t * dh],
                     None,
-                    &mut s.attn[..t * dh],
+                    tmp,
                     t,
                     t,
                     dh,
                 );
                 for ti in 0..t {
-                    s.merged[(bi * t + ti) * d + hi * dh..(bi * t + ti) * d + (hi + 1) * dh]
-                        .copy_from_slice(&s.attn[ti * dh..(ti + 1) * dh]);
+                    merged[(bi * t + ti) * d + hi * dh..(bi * t + ti) * d + (hi + 1) * dh]
+                        .copy_from_slice(&tmp[ti * dh..(ti + 1) * dh]);
                 }
             }
         }
-        self.o
-            .forward_flat(&s.merged[..rows * d], &mut s.attn[..rows * d], rows);
-        for (xv, &av) in x.iter_mut().zip(&s.attn[..rows * d]) {
-            *xv += av;
-        }
-        self.norm1.forward_flat(x);
+        let attn = kt;
+        self.o.forward_flat(merged, attn, rows);
+        self.norm1.residual_forward_flat(x, attn);
 
-        // Feed-forward with fused bias+GELU, then the second residual norm.
-        self.fc1.forward_flat(x, &mut s.ffn1[..rows * inner], rows);
-        gelu(&mut s.ffn1[..rows * inner]);
-        self.fc2
-            .forward_flat(&s.ffn1[..rows * inner], &mut s.ffn2[..rows * d], rows);
-        for (xv, &fv) in x.iter_mut().zip(&s.ffn2[..rows * d]) {
-            *xv += fv;
-        }
-        self.norm2.forward_flat(x);
+        // Feed-forward with bias+GELU in the GEMM epilogue, then the
+        // second residual norm.
+        let (ffn1, rest) = ws.split_at_mut(rows * inner);
+        let ffn2 = &mut rest[..rd];
+        self.fc1.forward_flat_act(x, ffn1, rows, Act::Gelu);
+        self.fc2.forward_flat(ffn1, ffn2, rows);
+        self.norm2.residual_forward_flat(x, ffn2);
     }
 }
 
@@ -698,53 +651,60 @@ impl FrozenModel {
     /// Encode a batch into hidden states `[batch, seq, hidden]` — the
     /// inference twin of `TransformerModel::forward` in eval mode.
     pub fn forward(&self, batch: &Batch) -> Array {
-        let b = batch.len();
-        let t = batch.seq_len();
-        let d = self.config.hidden;
-        let mut x = self.embeddings.forward_flat(&batch.ids, &batch.segments);
-        // Additive key-position mask, one entry per (sample, position):
-        // 0.0 on real tokens, -1e9 on padding (as additive_mask_from_padding).
-        // Dynamically padded batches are often mask-free (every row fills
-        // the rounded batch length); `None` skips the mask pass entirely.
-        let mask: Option<Vec<f32>> = if batch.padding.iter().all(|row| row.iter().all(|&m| m == 1))
-        {
-            None
-        } else {
-            Some(
-                batch
-                    .padding
-                    .iter()
-                    .flat_map(|row| row.iter().map(|&m| if m == 1 { 0.0f32 } else { -1e9 }))
-                    .collect(),
-            )
-        };
-        let rel = self.relative.as_ref().map(|r| r.bias_flat(t));
-        self.encode_flat(&mut x, mask.as_deref(), rel.as_deref(), b, t);
-        Array::from_vec(x, vec![b, t, d])
+        let mut hidden = Vec::new();
+        self.forward_into(batch, &mut hidden);
+        Array::from_vec(
+            hidden,
+            vec![batch.len(), batch.seq_len(), self.config.hidden],
+        )
     }
 
-    /// Run the encoder stack eagerly, in place on the flat `[b*t, d]`
-    /// hidden states, with the thread-local scratch. This is the
-    /// [`ExecBackend::Eager`](crate::ExecBackend::Eager) body; the graph
-    /// executor replays a planned schedule of the same ops instead.
-    pub(crate) fn encode_flat(
-        &self,
-        x: &mut [f32],
-        mask: Option<&[f32]>,
-        rel: Option<&[f32]>,
-        b: usize,
-        t: usize,
-    ) {
-        let d = self.config.hidden;
-        debug_assert_eq!(x.len(), b * t * d);
+    /// [`FrozenModel::forward`] into a caller-owned flat `[batch*seq,
+    /// hidden]` buffer (grown, never shrunk). The layer intermediates
+    /// live in this thread's workspace, so once `hidden` and the
+    /// workspace have seen the batch geometry, the forward performs no
+    /// heap allocation. Returns whether the workspace was reused as is
+    /// (`false`: it had to grow for this batch).
+    pub fn forward_into(&self, batch: &Batch, hidden: &mut Vec<f32>) -> bool {
+        WORKSPACE.with_borrow_mut(|ws| self.encode(batch, hidden, &mut ws.mask, &mut ws.layer))
+    }
+
+    /// Elements of layer workspace a forward of `batch` sequences of
+    /// length `seq` uses — the per-thread footprint at that geometry.
+    pub fn workspace_len(&self, batch: usize, seq: usize) -> usize {
         let inner = self.layers.first().map_or(0, |l| l.fc1.out_features());
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.ensure(b, t, d, self.config.heads, inner);
-            for layer in &self.layers {
-                layer.forward_flat(x, mask, rel, b, t, &mut scratch);
-            }
-        });
+        layer_workspace_len(batch, seq, self.config.hidden, self.config.heads, inner)
+    }
+
+    /// The one encoder forward: embeddings into `x`, then every layer in
+    /// place through `layer_ws`, grown to this batch if needed. Returns
+    /// whether `layer_ws` was already large enough.
+    fn encode(
+        &self,
+        batch: &Batch,
+        x: &mut Vec<f32>,
+        mask: &mut Vec<f32>,
+        layer_ws: &mut Vec<f32>,
+    ) -> bool {
+        let b = batch.len();
+        let t = batch.seq_len();
+        let n = b * t * self.config.hidden;
+        self.embeddings.forward_into(&batch.ids, &batch.segments, x);
+        // Additive key-position mask, 0.0 on real tokens and -1e9 on
+        // padding (as additive_mask_from_padding). Dynamically padded
+        // batches are often mask-free; `None` skips the mask add.
+        let mask = fill_mask(batch, mask).then_some(&mask[..b * t]);
+        let rel = self.relative.as_ref().map(|r| r.bias_flat_cached(t));
+        let rel = rel.as_deref().map(Vec::as_slice);
+        let need = self.workspace_len(b, t);
+        let reused = layer_ws.len() >= need;
+        if !reused {
+            layer_ws.resize(need, 0.0);
+        }
+        for layer in &self.layers {
+            layer.forward_flat(&mut x[..n], mask, rel, b, t, layer_ws);
+        }
+        reused
     }
 
     /// Hidden state of each sample's CLS position: `[batch, hidden]`.
@@ -935,17 +895,26 @@ impl FrozenMatcher {
 
     /// Match logits `[batch, 2]` for one uniform-length batch.
     pub fn logits(&self, batch: &Batch) -> Array {
-        let hidden = self.model.forward(batch);
-        let pooled = self.model.pooled_states(&hidden, batch);
-        self.head.forward(&pooled)
+        let b = batch.len();
+        WORKSPACE.with_borrow_mut(|ws| {
+            self.logits_in(batch, ws);
+            Array::from_vec(ws.logits[..b * 2].to_vec(), vec![b, 2])
+        })
     }
 
     /// Positive-class match probability per encoding, as one batch padded
     /// dynamically to the batch maximum. Encodings may be ragged; none may
     /// exceed this matcher's `max_len`.
     pub fn score_encodings(&self, encodings: &[Encoding]) -> Vec<f32> {
+        self.score_encodings_reusing(encodings).0
+    }
+
+    /// [`FrozenMatcher::score_encodings`], also reporting whether the
+    /// thread's workspace was reused without growing (serving counts
+    /// these as workspace hits).
+    pub(crate) fn score_encodings_reusing(&self, encodings: &[Encoding]) -> (Vec<f32>, bool) {
         if encodings.is_empty() {
-            return Vec::new();
+            return (Vec::new(), true);
         }
         for e in encodings {
             assert!(
@@ -956,9 +925,57 @@ impl FrozenMatcher {
             );
         }
         let batch = Batch::from_encodings(encodings);
-        let probs = softmax_array(&self.logits(&batch));
-        (0..encodings.len()).map(|i| probs.at(&[i, 1])).collect()
+        let b = batch.len();
+        WORKSPACE.with_borrow_mut(|ws| {
+            let reused = self.logits_in(&batch, ws);
+            softmax_rows(&mut ws.logits[..b * 2], 2);
+            let scores = (0..b).map(|i| ws.logits[i * 2 + 1]).collect();
+            (scores, reused)
+        })
     }
+
+    /// Logits `[b, 2]` into `ws.logits`: encoder forward, CLS gather,
+    /// pooler with tanh, classifier. Returns whether the layer workspace
+    /// was reused.
+    fn logits_in(&self, batch: &Batch, ws: &mut Workspace) -> bool {
+        let b = batch.len();
+        let t = batch.seq_len();
+        let d = self.model.config.hidden;
+        let reused = self
+            .model
+            .encode(batch, &mut ws.hidden, &mut ws.mask, &mut ws.layer);
+        ws.cls.resize(b * d, 0.0);
+        for (i, &c) in batch.cls_index.iter().enumerate() {
+            let off = (i * t + c) * d;
+            ws.cls[i * d..(i + 1) * d].copy_from_slice(&ws.hidden[off..off + d]);
+        }
+        ws.pooled.resize(b * d, 0.0);
+        self.model
+            .pooler
+            .forward_flat(&ws.cls[..b * d], &mut ws.pooled[..b * d], b);
+        for v in &mut ws.pooled[..b * d] {
+            *v = v.tanh();
+        }
+        ws.logits.resize(b * 2, 0.0);
+        self.head
+            .forward_flat(&ws.pooled[..b * d], &mut ws.logits[..b * 2], b);
+        reused
+    }
+}
+
+/// Fill `out` with the additive key mask for `batch` (`0.0` real,
+/// `-1e9` padding) and report whether any padding exists.
+fn fill_mask(batch: &Batch, out: &mut Vec<f32>) -> bool {
+    let t = batch.seq_len();
+    out.resize(batch.len() * t, 0.0);
+    let mut masked = false;
+    for (bi, row) in batch.padding.iter().enumerate() {
+        for (ti, &m) in row.iter().enumerate() {
+            masked |= m != 1;
+            out[bi * t + ti] = if m == 1 { 0.0 } else { -1e9 };
+        }
+    }
+    masked
 }
 
 impl em_core::Predictor for FrozenMatcher {

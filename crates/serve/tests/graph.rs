@@ -21,7 +21,12 @@ use rand::{Rng, SeedableRng};
 const VOCAB: usize = 50;
 
 fn tiny_model(arch: Architecture, seed: u64) -> (TransformerModel, ClassificationHead) {
-    let cfg = TransformerConfig::tiny(arch, VOCAB);
+    let mut cfg = TransformerConfig::tiny(arch, VOCAB);
+    // Four heads and room for 40 tokens: past t = 3·hidden/heads = 24
+    // the score tensor outgrows the QKV slot it takes over, so batches
+    // cover both workspace regimes.
+    cfg.heads = 4;
+    cfg.max_position = 64;
     let hidden = cfg.hidden;
     let model = TransformerModel::new(cfg, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ead);
@@ -85,7 +90,7 @@ fn autograd_logits(
 /// Lazy (graph-executed) logits vs autograd within 1e-5 on a ragged batch.
 fn assert_graph_matches_autograd(arch: Architecture, seed: u64) {
     let (model, head) = tiny_model(arch, seed);
-    let max_len = 24;
+    let max_len = 40;
     let corpus = em_data::generate_corpus(30, seed);
     let tok = train_tokenizer(arch, &corpus, 200);
     let matcher = freeze_parts(&model, &head, tok, max_len);
@@ -111,7 +116,7 @@ fn assert_graph_matches_autograd(arch: Architecture, seed: u64) {
 /// weight representation: the planner's fused kernels run the same
 /// per-element arithmetic in the same order as the unfused path.
 fn assert_graph_matches_eager(arch: Architecture, seed: u64) {
-    let max_len = 20;
+    let max_len = 40;
     let matcher = tiny_frozen_matcher(arch, seed, max_len);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(91).wrapping_add(5));
     let encodings: Vec<Encoding> = (0..5)
@@ -121,6 +126,15 @@ fn assert_graph_matches_eager(arch: Architecture, seed: u64) {
         let q = matcher.quantize(mode);
         let want = q.score_encodings(&encodings); // eager baseline
         let mut exec = Executor::new(ExecBackend::Graph);
+        let batch = Batch::from_encodings(&encodings);
+        let want_logits = q.logits(&batch);
+        let got_logits = exec.logits(&q, &batch);
+        assert_eq!(
+            want_logits.data(),
+            got_logits,
+            "{} {mode} logits",
+            arch.name()
+        );
         let got = exec.score_encodings(&q, &encodings);
         assert_eq!(want.len(), got.len());
         for (i, (w, g)) in want.iter().zip(&got).enumerate() {
@@ -279,4 +293,40 @@ fn served_graph_scores_match_eager_and_report_plan_cache() {
     assert!(rate > 0.0 && rate <= 1.0, "hit rate {rate} out of range");
     let es = eager.stats();
     assert_eq!((es.plan_cache_hits, es.plan_cache_misses), (0, 0));
+}
+
+/// The straight-line forward's workspace is no larger than em-graph's
+/// planned arena at every bucket geometry of the bench model (small
+/// BERT: hidden 64, 4 heads, inner 256, token budget 2048).
+#[test]
+fn workspace_fits_inside_the_graph_arena_at_bench_buckets() {
+    let arch = Architecture::Bert;
+    let model = TransformerModel::new(TransformerConfig::small(arch, VOCAB), 3);
+    let mut rng = StdRng::seed_from_u64(3);
+    let head = ClassificationHead::new(64, 0.1, 0.02, &mut rng);
+    let corpus = em_data::generate_corpus(30, 3);
+    let matcher = freeze_parts(&model, &head, train_tokenizer(arch, &corpus, 200), 64);
+    for (cap, seq) in [
+        (128, 16),
+        (85, 24),
+        (64, 32),
+        (51, 40),
+        (42, 48),
+        (36, 56),
+        (32, 64),
+    ] {
+        let ws = matcher.model.workspace_len(cap, seq) * 4;
+        let plan = Executor::plan_for(&matcher.model, cap, seq);
+        let (arena, scratch) = (plan.arena_len * 4, plan.scratch_len * 4);
+        println!(
+            "{cap}x{seq}: workspace {} KiB, graph arena {} KiB, one-buffer-per-op {} KiB",
+            ws / 1024,
+            arena / 1024,
+            scratch / 1024
+        );
+        assert!(
+            ws <= arena,
+            "{cap}x{seq}: workspace {ws} B > arena {arena} B"
+        );
+    }
 }
