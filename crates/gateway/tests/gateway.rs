@@ -181,6 +181,20 @@ fn malformed_requests_are_400_with_stable_codes() {
     assert_eq!(error_code(&resp.body).0, "method_not_allowed");
 }
 
+/// A body of half a MiB of `[` (under the 1 MiB cap) once overflowed the
+/// JSON parser's stack and aborted the whole process. It must now be a
+/// plain 400, with the gateway still answering afterwards.
+#[test]
+fn nesting_bomb_is_400_and_the_gateway_survives() {
+    let gw = default_gateway();
+    let bomb = "[".repeat(512 * 1024);
+    let resp = http_request(gw.addr(), "POST", "/match", Some(&bomb)).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert_eq!(error_code(&resp.body).0, "bad_request");
+    let health = http_request(gw.addr(), "GET", "/healthz", None).unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+}
+
 #[test]
 fn oversized_bodies_are_413_without_buffering() {
     let gw = spawn_gateway(

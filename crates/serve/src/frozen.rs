@@ -8,12 +8,19 @@
 //! computes the same function as the autograd eval path — same op order,
 //! same layer-norm/softmax/GELU formulas — but through the shared
 //! `em-kernels` crate: one register-blocked GEMM per projection with the
-//! bias in the epilogue, the Q/K/V projections merged into a single
-//! matrix product, K written pre-transposed, and polynomial `exp`/`tanh`
-//! in softmax and GELU. Frozen logits therefore reproduce autograd logits
-//! to within float-rounding — the equivalence tests assert 1e-5 across
-//! all four architectures — while running several times faster per
-//! example than the autograd batch-1 path.
+//! bias (and FC1's GELU) in the epilogue, the Q/K/V projections merged
+//! into a single matrix product, K written pre-transposed, scale, bias,
+//! mask and softmax in one pass over the scores, residual and layer norm
+//! in one pass, and polynomial `exp`/`tanh` in softmax and GELU. Frozen
+//! logits therefore reproduce autograd logits to within float-rounding —
+//! the equivalence tests assert 1e-5 across all four architectures —
+//! while running several times faster per example than the autograd
+//! batch-1 path.
+//!
+//! There is one encoder forward ([`FrozenModel::forward_into`] and the
+//! matcher methods all reach it). Its intermediates live in a grow-only
+//! per-thread workspace, so a thread that keeps scoring batches no
+//! larger than ones it has seen allocates nothing for them.
 
 use std::sync::Arc;
 
@@ -238,8 +245,8 @@ impl FrozenLinear {
 
     /// [`FrozenLinear::forward_flat`] with an elementwise epilogue fused
     /// into the GEMM tile loop — every representation (f32, f16, int8)
-    /// applies `act` per register block, so the graph executor's fused
-    /// `Linear+GELU` stays quant-aware with no extra pass.
+    /// applies `act` per register block, so FC1's `Linear+GELU` stays
+    /// quant-aware with no extra pass.
     pub(crate) fn forward_flat_act(&self, x: &[f32], out: &mut [f32], rows: usize, act: Act) {
         let (k, n) = (self.in_features(), self.out_features());
         match &self.w {
@@ -304,12 +311,7 @@ impl FrozenEmbeddings {
     /// flat `[b*t, d]` hidden-state buffer the encoder stack works in.
     /// The buffer is resized, not zeroed (the token gather overwrites
     /// every element), so a reused buffer makes this allocation-free.
-    pub(crate) fn forward_into(
-        &self,
-        ids: &[Vec<usize>],
-        segments: &[Vec<usize>],
-        x: &mut Vec<f32>,
-    ) {
+    fn forward_into(&self, ids: &[Vec<usize>], segments: &[Vec<usize>], x: &mut Vec<f32>) {
         let b = ids.len();
         let t = ids.first().map_or(0, Vec::len);
         let d = self.norm.gamma.len();
@@ -368,9 +370,9 @@ fn layer_workspace_len(b: usize, t: usize, d: usize, heads: usize, inner: usize)
         .max(b * t * (inner + d))
 }
 
-/// The per-thread buffers of the frozen forward. Every buffer only ever
-/// grows, so a thread converges on its largest batch and then stops
-/// allocating. Nothing is zeroed: every element a stage reads was
+/// The per-thread buffers of the frozen forward. No buffer gives its
+/// capacity back, so a thread converges on its largest batch and then
+/// stops allocating. Nothing is zeroed: every element a stage reads was
 /// written earlier in the same forward, and every kernel gets an exact
 /// prefix slice.
 #[derive(Default)]
@@ -381,8 +383,9 @@ struct Workspace {
     layer: Vec<f32>,
     /// `[b*t, d]` hidden states of the matcher path.
     hidden: Vec<f32>,
-    /// `[b, d]` CLS states, then `[b, d]` pooled states.
+    /// `[b, d]` CLS states.
     cls: Vec<f32>,
+    /// `[b, d]` pooled states.
     pooled: Vec<f32>,
     /// `[b, 2]` logits, then probabilities.
     logits: Vec<f32>,
@@ -538,10 +541,10 @@ pub(crate) struct FrozenRelativeBias {
     pub(crate) heads: usize,
     /// Expanded `[heads*t*t]` bias per sequence length, materialized on
     /// first use. The expansion is pure table lookup, identical every
-    /// call, yet the eager path recomputed it per batch; serving sees a
-    /// handful of bucket lengths, so this is a tiny map. Living on the
-    /// bias itself (not keyed by model pointer in the executor) means a
-    /// hot-swapped model can never observe a stale expansion.
+    /// call; serving sees a handful of bucket lengths, so this is a tiny
+    /// map. Living on the bias itself (not keyed by model pointer
+    /// elsewhere) means a hot-swapped model can never observe a stale
+    /// expansion.
     cache: std::sync::Mutex<std::collections::HashMap<usize, Arc<Vec<f32>>>>,
 }
 
@@ -565,7 +568,7 @@ impl FrozenRelativeBias {
 
     /// The `[heads*t*t]` expansion for sequence length `t`, shared and
     /// cached. An `Arc` clone on the hit path — no allocation, no copy.
-    pub(crate) fn bias_flat_cached(&self, t: usize) -> Arc<Vec<f32>> {
+    fn bias_flat_cached(&self, t: usize) -> Arc<Vec<f32>> {
         let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
         Arc::clone(
             cache
@@ -660,11 +663,11 @@ impl FrozenModel {
     }
 
     /// [`FrozenModel::forward`] into a caller-owned flat `[batch*seq,
-    /// hidden]` buffer (grown, never shrunk). The layer intermediates
-    /// live in this thread's workspace, so once `hidden` and the
-    /// workspace have seen the batch geometry, the forward performs no
-    /// heap allocation. Returns whether the workspace was reused as is
-    /// (`false`: it had to grow for this batch).
+    /// hidden]` buffer, resized to the batch (its capacity is kept). The
+    /// layer intermediates live in this thread's workspace, so once
+    /// `hidden` and the workspace have held a batch this large, the
+    /// forward performs no heap allocation. Returns whether the
+    /// workspace was reused as is (`false`: it had to grow).
     pub fn forward_into(&self, batch: &Batch, hidden: &mut Vec<f32>) -> bool {
         WORKSPACE.with_borrow_mut(|ws| self.encode(batch, hidden, &mut ws.mask, &mut ws.layer))
     }

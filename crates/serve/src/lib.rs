@@ -23,12 +23,12 @@
 //!    ([`ServeError::Overloaded`]), and a degraded mode that answers with
 //!    a fallback `Predictor` when the transformer path is down
 //!    ([`ServeMatcher::with_fallback`]).
-//! 4. **A lazy graph executor** ([`Executor`], backed by `em-graph`):
-//!    workers trace + plan the frozen forward once per length-bucket
-//!    geometry (fused kernels, one arena allocation, per-worker plan
-//!    cache) and replay the schedule for every later batch. Selected by
-//!    [`ExecBackend`] (the default); [`ExecBackend::Eager`] keeps the
-//!    op-by-op interpreter. Scores are bit-identical either way.
+//! 4. **One frozen forward**: every path — serving workers,
+//!    [`FrozenModel::forward`], [`FrozenMatcher::logits`] and
+//!    [`FrozenMatcher::score_encodings`] — runs the same straight-line
+//!    encoder forward through fused kernels in a grow-only per-thread
+//!    workspace, so steady-state scoring allocates nothing for
+//!    intermediates and the served and direct scores cannot drift.
 //!
 //! Both layers speak the unified `em_core::Predictor` surface, so a
 //! frozen or served matcher drops in anywhere an `EmMatcher` scores
@@ -52,18 +52,14 @@ pub mod block;
 pub mod cache;
 pub mod checkpoint;
 pub mod config;
-pub mod executor;
 pub mod fault;
 pub mod frozen;
 pub mod matcher;
 pub mod supervisor;
 mod trace;
 
-pub use config::{
-    ExecBackend, RetryPolicy, ServeConfig, ServeConfigBuilder, ServeError, SwapError,
-};
+pub use config::{RetryPolicy, ServeConfig, ServeConfigBuilder, ServeError, SwapError};
 pub use em_checkpoint::CheckpointError;
-pub use executor::{plan_key, Executor};
 pub use fault::{Fault, FaultPlan};
 pub use frozen::{freeze_parts, FrozenLinear, FrozenMatcher, FrozenModel, QuantMode};
 pub use matcher::{ScoreTicket, ServeMatcher, ServeStats};

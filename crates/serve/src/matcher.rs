@@ -202,13 +202,14 @@ pub struct ServeStats {
     pub worker_restarts: u64,
     /// Successful hot-swaps ([`ServeMatcher::swap_model`]) since start.
     pub swaps: u64,
-    /// Batches whose execution plan was already cached by their worker
-    /// (graph backend only; always 0 under [`ExecBackend::Eager`]).
-    ///
-    /// [`ExecBackend::Eager`]: crate::ExecBackend::Eager
+    /// Batches whose forward ran in its worker's existing workspace,
+    /// without growing it. (The name predates the single forward; it is
+    /// kept because dashboards and the `serve/plan_cache_hits` counter
+    /// read it.)
     pub plan_cache_hits: u64,
-    /// Batches that had to trace + plan first: one per (worker, length
-    /// bucket) geometry at steady state, plus cold respawned workers.
+    /// Batches that had to grow their worker's workspace first: a few
+    /// per worker while it meets larger batches, plus cold respawned
+    /// workers.
     pub plan_cache_misses: u64,
 }
 
@@ -235,9 +236,9 @@ impl ServeStats {
         }
     }
 
-    /// Fraction of scored batches that replayed an already-planned
-    /// schedule. Converges to 1.0 at steady state — each worker plans a
-    /// length bucket once, then every later batch of that bucket hits.
+    /// Fraction of scored batches whose forward reused its worker's
+    /// workspace as is. Reaches 1.0 at steady state — once a worker has
+    /// met its largest batch, no later batch grows the workspace.
     pub fn plan_cache_hit_rate(&self) -> f64 {
         let total = self.plan_cache_hits + self.plan_cache_misses;
         if total == 0 {

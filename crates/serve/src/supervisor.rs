@@ -25,7 +25,6 @@
 //! supervisor returns once it reaches zero.
 
 use crate::config::{ServeConfig, ServeError};
-use crate::executor::Executor;
 use crate::fault::{Fault, InjectedFault};
 use crate::matcher::{Job, ModelCell, StatsInner};
 use crate::trace::BatchTiming;
@@ -239,11 +238,6 @@ fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
     let max_len = ctx.model.load().matcher.max_len;
     let width = cfg.bucket_width(max_len);
     let worker_label = id.to_string();
-    // Worker-private scoring engine: plan cache, arena and workspace all
-    // live for the worker's lifetime, so a steady stream of same-bucket
-    // batches replans nothing and allocates nothing. A respawned worker
-    // starts cold and simply replans on its first batch per bucket.
-    let mut exec = Executor::new(cfg.backend);
     let mut disconnected = false;
     loop {
         // Batch head: the oldest stashed job, else block on the queue
@@ -341,21 +335,16 @@ fn worker_loop(id: usize, ctx: &PoolCtx, slot: &Slot) {
         // reply, so a concurrent swap affects only *later* batches —
         // in-flight work drains on the model it started with.
         let vm = ctx.model.load();
-        // Key the plan on the bucket's capacity, not this batch's fill:
-        // the first batch of a bucket plans an envelope every later fill
-        // level replays, making the steady-state hit rate exactly 1.0.
-        exec.set_batch_capacity(capacity);
-        let scores = exec.score_encodings(&vm.matcher, &encodings);
-        let (plan_hits, plan_misses) = exec.take_plan_counts();
-        if plan_hits + plan_misses > 0 {
-            stats
-                .plan_cache_hits
-                .fetch_add(plan_hits, Ordering::Relaxed);
-            stats
-                .plan_cache_misses
-                .fetch_add(plan_misses, Ordering::Relaxed);
-            em_obs::counter_add("serve/plan_cache_hits", plan_hits);
-            em_obs::counter_add("serve/plan_cache_misses", plan_misses);
+        // The forward runs in this worker thread's grow-only workspace:
+        // a batch that fits the workspace is a hit, one that grows it a
+        // miss. A respawned worker starts with an empty workspace.
+        let (scores, reused) = vm.matcher.score_encodings_reusing(&encodings);
+        if reused {
+            stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+            em_obs::counter_inc("serve/plan_cache_hits");
+        } else {
+            stats.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+            em_obs::counter_inc("serve/plan_cache_misses");
         }
         let jobs = std::mem::take(&mut lock(slot).inflight);
         stats.batches.fetch_add(1, Ordering::Relaxed);
